@@ -22,7 +22,11 @@ This module compiles a program **once** into a flat :class:`ReplayPlan`:
   one stacked GEMV (:class:`_MvGroup`) — the LSTM's four gate matrices
   against one input vector become one matmul — legal only on the
   exact-integer mantissa paths, where the stacked dot products are
-  bit-identical to the per-chain ones.
+  bit-identical to the per-chain ones;
+* groups whose head is provably a network input at every occurrence
+  (the RNN input projections ``x_t W``) *hoisted* out of the step loop:
+  a batch-1 run computes all their timesteps in one GEMM with time as
+  the batch axis, on the same exact-integer paths.
 
 :class:`ReplayExecutor` then runs the plan as a tight loop with no
 decode, no validation, and no cache hashing; per-run statistics and the
@@ -118,7 +122,8 @@ class _MvGroup:
     __slots__ = ("mode", "members", "cols", "segs", "seg_width", "nb", "n",
                  "tiles", "offsets", "padded_offsets", "groups_total",
                  "total_rows", "_generation", "_operands",
-                 "_batched_generation", "_batched_operands", "outputs")
+                 "_batched_generation", "_batched_operands", "outputs",
+                 "hoist_heads", "_hoist_inputs", "_hoisted", "_hoist_step")
 
     def __init__(self, sim, members: List[Tuple[int, int]], cols: int):
         self.members = tuple(members)  # (mrf_base, rows) per member
@@ -156,6 +161,13 @@ class _MvGroup:
         self._batched_generation = None
         self._batched_operands = None
         self.outputs = None
+        #: (occurrences, cols) network-input positions of the head at
+        #: each occurrence, set when the group's input projection is
+        #: hoisted out of the step loop (see `_hoist_input_projections`).
+        self.hoist_heads = None
+        self._hoist_inputs = None
+        self._hoisted = None
+        self._hoist_step = 0
 
     # -- operand binding ---------------------------------------------------
 
@@ -229,6 +241,17 @@ class _MvGroup:
             self._batched_generation = key
         return self._batched_operands
 
+    # -- sequence-hoisted compute --------------------------------------------
+
+    def begin_hoist(self, inputs: np.ndarray) -> None:
+        """Arm one run: ``inputs`` are the run's pending network inputs."""
+        self._hoist_inputs = inputs[self.hoist_heads]
+        self._hoisted = None
+        self._hoist_step = 0
+
+    def end_hoist(self) -> None:
+        self._hoist_inputs = self._hoisted = None
+
     # -- single-request compute --------------------------------------------
 
     def compute(self, sim, value: np.ndarray) -> None:
@@ -238,6 +261,17 @@ class _MvGroup:
             self.outputs = (self._f64_member(sim, value, blocks, rows),)
             return
         w_stack, w_scales = self._bound_operands(sim)
+        if self._hoist_inputs is not None:
+            # Every occurrence's outputs come from one GEMM with time as
+            # the batch axis, run at the first occurrence (operand
+            # binding and its accounting still happen once per step).
+            if self._hoisted is None:
+                self._hoisted = self._apply_batched(
+                    sim, self._hoist_inputs, w_stack, w_scales)
+            t = self._hoist_step
+            self._hoist_step = t + 1
+            self.outputs = tuple(out[t] for out in self._hoisted)
+            return
         mant, exps = decompose(value, sim._bfp)
         mant = mant.reshape(self.segs, self.seg_width)
         x_scales = scales_of(exps, sim._bfp).reshape(self.segs, 1)
@@ -712,7 +746,8 @@ class ReplayPlan:
     """A flat, pre-resolved execution plan for one program binding.
 
     Immutable after compilation apart from the generation-checked
-    operand caches inside its :class:`_MvGroup` objects. Bound to the
+    operand caches and the per-run hoisting buffers inside its
+    :class:`_MvGroup` objects. Bound to the
     simulator it was compiled for (views point into that simulator's
     register files); :meth:`FunctionalSimulator.plan_for` caches plans
     per (program uid, bindings, entry scalar registers).
@@ -723,14 +758,15 @@ class ReplayPlan:
                  "instructions", "mv_muls", "macs", "pointwise_flops",
                  "ticks", "vrf_reads", "vrf_writes", "vrf_footprints",
                  "compiled_chains", "fallback_steps", "loopable_fallbacks",
-                 "fallback_step_kinds", "groups", "fused_groups")
+                 "fallback_step_kinds", "groups", "fused_groups",
+                 "hoisted", "netq_pops")
 
     def __init__(self, program, bindings_key, entry_scalars, final_scalars,
                  steps, batchable, chains, instructions, mv_muls, macs,
                  pointwise_flops, ticks, vrf_reads, vrf_writes,
                  vrf_footprints, compiled_chains, fallback_steps,
                  loopable_fallbacks, fallback_step_kinds, groups,
-                 fused_groups):
+                 fused_groups, hoisted, netq_pops):
         self.program = program
         self.bindings_key = bindings_key
         self.entry_scalars = entry_scalars
@@ -760,6 +796,17 @@ class ReplayPlan:
         self.fallback_step_kinds = fallback_step_kinds
         self.groups = groups
         self.fused_groups = fused_groups
+        #: Groups whose input projection runs as one sequence GEMM per
+        #: batch-1 run (see `_hoist_input_projections`).
+        self.hoisted = hoisted
+        #: Network input vectors the plan pops; a run hoists only when
+        #: that many are already queued.
+        self.netq_pops = netq_pops
+
+    @property
+    def hoisted_groups(self) -> int:
+        """Number of sequence-hoisted groups (a diagnostic)."""
+        return len(self.hoisted)
 
 
 class _ChainTemplate:
@@ -1108,6 +1155,7 @@ def compile_plan(sim, program: NpuProgram,
 
     final_scalars = {ScalarReg.Rows: rows, ScalarReg.Columns: cols,
                      ScalarReg.Iterations: iters}
+    netq_pops, hoisted = _hoist_input_projections(steps)
     return ReplayPlan(
         program=program,
         bindings_key=tuple(sorted((bindings or {}).items())),
@@ -1130,7 +1178,75 @@ def compile_plan(sim, program: NpuProgram,
         fallback_step_kinds=tuple(fallback_kinds),
         groups=tuple(groups),
         fused_groups=sum(1 for g in groups if len(g.members) > 1),
+        hoisted=hoisted,
+        netq_pops=netq_pops,
     )
+
+
+def _hoist_input_projections(steps) -> Tuple[int, tuple]:
+    """Find the mv_mul groups whose head is a network input every time.
+
+    Tracks, through the step list, which VRF rows hold a verbatim copy
+    of which network input vector (written by a chain with no compute
+    between its NetQ or VRF head and its ``v_wr``). A group is hoisted
+    when, at each of its 2 or more occurrences, its head is such a copy
+    or a NetQ read, no MRF write falls between its first and last
+    occurrence, and it runs on an exact-integer path (packed or
+    mantissa GEMV), where one GEMM over all occurrences equals the
+    per-step GEMVs bit for bit. Plans with fallback steps hoist nothing:
+    an interpreted step may pop inputs or write any register.
+
+    Returns (network input vectors the plan pops, hoisted groups), or
+    (0, ()) for a plan with fallback steps.
+    """
+    netq = 0
+    epoch = 0  # MRF writes so far
+    origin: Dict[tuple, int] = {}  # (MemId, row) -> input position
+    uses: Dict[_MvGroup, list] = {}  # group -> [(epoch, positions)]
+    for step in steps:
+        if isinstance(step, _FallbackStep):
+            return 0, ()
+        if isinstance(step, _MatrixStep):
+            epoch += step.dst_mrf
+            continue
+        if not isinstance(step, _VectorStep):
+            continue
+        width = step.width_in
+        if step.head_kind == _H_NETQ:
+            value = tuple(range(netq, netq + width))
+            netq += width
+        elif step.head_kind == _H_VRF:
+            value = tuple(origin.get((step.head_mem, step.head_index + i))
+                          for i in range(width))
+            if None in value:
+                value = None
+        else:
+            value = None
+        for p in step.pieces:
+            kind = p[0]
+            if kind == _MV:
+                if p[2] == 0:
+                    uses.setdefault(p[1], []).append((epoch, value))
+                value = None
+            elif kind in (_BIN, _UN):
+                value = None
+            elif kind == _WR_VRF:
+                mem, index, rows = p[2], p[3], p[4]
+                for i in range(rows):
+                    if value is None:
+                        origin.pop((mem, index + i), None)
+                    else:
+                        origin[(mem, index + i)] = value[i]
+    hoisted = []
+    for group, occurrences in uses.items():
+        if (group.mode == _MODE_F64 or len(occurrences) < 2
+                or len({e for e, _ in occurrences}) > 1
+                or any(v is None for _, v in occurrences)):
+            continue
+        group.hoist_heads = np.array([v for _, v in occurrences],
+                                     dtype=np.intp)
+        hoisted.append(group)
+    return netq, tuple(hoisted)
 
 
 class _MatrixTemplate:
@@ -1179,13 +1295,26 @@ class ReplayExecutor:
     def run(self):
         sim = self.sim
         plan = self.plan
-        if sim._observing:
-            for step in plan.steps:
-                step.run_observed(sim)
+        hoisted = plan.hoisted
+        # A short input queue runs un-hoisted, so the failing pop raises
+        # with the interpreter's partial state.
+        if hoisted and sim.netq.pending_inputs >= plan.netq_pops:
+            inputs = sim.netq.peek_inputs(plan.netq_pops)
+            for group in hoisted:
+                group.begin_hoist(inputs)
         else:
-            for step in plan.steps:
-                step.run(sim)
-            sim._trace_clock += plan.ticks
+            hoisted = ()
+        try:
+            if sim._observing:
+                for step in plan.steps:
+                    step.run_observed(sim)
+            else:
+                for step in plan.steps:
+                    step.run(sim)
+                sim._trace_clock += plan.ticks
+        finally:
+            for group in hoisted:
+                group.end_hoist()
         stats = sim.stats
         stats.chains_executed += plan.chains
         stats.instructions_executed += plan.instructions

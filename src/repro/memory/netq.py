@@ -57,6 +57,18 @@ class NetworkQueues:
     def pending_inputs(self) -> int:
         return len(self._in_vectors)
 
+    def peek_inputs(self, count: int) -> np.ndarray:
+        """Copy of the next ``count`` input vectors, (count, N); nothing
+        is popped and no counter moves."""
+        if len(self._in_vectors) < count:
+            raise NetworkQueueEmptyError(
+                f"peek needs {count} vector(s), only "
+                f"{len(self._in_vectors)} pending")
+        out = np.empty((count, self.native_dim), dtype=np.float32)
+        for i, vec in zip(range(count), self._in_vectors):
+            out[i] = vec
+        return out
+
     @property
     def pending_outputs(self) -> int:
         return len(self._out_vectors)

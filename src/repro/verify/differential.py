@@ -63,6 +63,8 @@ class DiffResult:
 
     case: ProgramCase
     mismatches: List[str]
+    #: Sequence-hoisted mv_mul groups in the compiled run's plan.
+    hoisted_groups: int = 0
 
     @property
     def ok(self) -> bool:
@@ -171,13 +173,18 @@ def run_differential(case: ProgramCase,
     naive = load_simulator(case, naive=True, metrics=naive_metrics)
     vec = load_simulator(case, naive=False, metrics=vec_metrics)
     comp = load_simulator(case, naive=False, metrics=comp_metrics)
+    hoisted = 0
+
+    def run_compiled():
+        nonlocal hoisted
+        hoisted = comp.plan_for(case.program).hoisted_groups
+        comp.run(case.program, compiled=True)
 
     errors = {
         "reference": _guarded(lambda: ref.run(case.program)),
         "naive": _guarded(lambda: naive.run(case.program)),
         "vectorized": _guarded(lambda: vec.run(case.program)),
-        "compiled": _guarded(
-            lambda: comp.run(case.program, compiled=True)),
+        "compiled": _guarded(run_compiled),
     }
     raised = {k: v for k, v in errors.items() if v is not None}
     if len(raised) == len(errors):
@@ -233,7 +240,7 @@ def run_differential(case: ProgramCase,
 
     if check_timing:
         mismatches.extend(check_timing_invariants(case, ref))
-    return DiffResult(case, mismatches)
+    return DiffResult(case, mismatches, hoisted_groups=hoisted)
 
 
 def check_batched_replay(case: ProgramCase) -> List[str]:

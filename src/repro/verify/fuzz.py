@@ -50,6 +50,8 @@ class FuzzReport:
     failures: List[FuzzFailure]
     invalid: int = 0
     label: str = "fuzz"
+    #: Cases whose compiled plan hoisted an input projection.
+    hoisted_cases: int = 0
 
     @property
     def ok(self) -> bool:
@@ -60,6 +62,8 @@ class FuzzReport:
                 f"{len(self.failures)} failure(s)")
         if self.invalid:
             head += f", {self.invalid} invalid"
+        if self.hoisted_cases:
+            head += f", {self.hoisted_cases} hoisted"
         if self.ok:
             return head + " — all engines agree"
         return "\n".join([head] + [f.render() for f in self.failures])
@@ -90,7 +94,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
     """
     profile_name = profile.name if profile else "default"
     failures: List[FuzzFailure] = []
-    invalid = 0
+    invalid = hoisted = 0
     for i in range(iterations):
         case_seed = seed + i
         case = generate_case(case_seed, profile=profile, config=config)
@@ -99,6 +103,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
         except CaseInvalid:
             invalid += 1  # generator regression; surfaced in the report
             continue
+        hoisted += result.hoisted_groups > 0
         if not result.ok:
             failures.append(_handle_failure(
                 case, case_seed, result.mismatches, corpus_dir, shrink,
@@ -106,7 +111,7 @@ def run_fuzz(seed: int = 0, iterations: int = 100,
         if progress is not None:
             progress(i + 1, iterations)
     return FuzzReport(cases_run=iterations, failures=failures,
-                      invalid=invalid,
+                      invalid=invalid, hoisted_cases=hoisted,
                       label=f"fuzz(seed={seed}, profile={profile_name})")
 
 

@@ -411,10 +411,11 @@ def _vrf_depth(config: NpuConfig, mem: MemId) -> int:
 def _fold_loops(state: _GenState, events: List[object]) -> List[object]:
     """Fold eligible spans of the flat event list into counted loops.
 
-    A span is loopable only if it contains no network-queue reads (the
-    queue balance would change across iterations) and no scalar writes
-    (the first iteration would otherwise run under different
-    ``rows``/``columns`` than later ones).
+    A span is loopable only if it contains no scalar writes (the first
+    iteration would otherwise run under different ``rows``/``columns``
+    than later ones) and no loop. Network-queue reads may repeat: the
+    case queues the inputs every extra iteration pops, so the queue
+    still balances.
     """
     rng = state.rng
     if len(events) < 2 or rng.random() < 0.4:
@@ -427,15 +428,33 @@ def _fold_loops(state: _GenState, events: List[object]) -> List[object]:
         start = int(rng.integers(0, len(items) - 1))
         length = int(rng.integers(1, min(4, len(items) - start) + 1))
         span = items[start:start + length]
-        if not all(_loopable(item) for item in span):
+        if any(isinstance(item, (SetScalar, Loop)) for item in span):
             continue
         count = int(rng.integers(2, 4))
+        vectors, tiles = _netq_reads(items[:start], span)
+        state.netq_vectors += (count - 1) * vectors
+        state.netq_tiles += (count - 1) * tiles
         items[start:start + length] = [Loop(count, tuple(span))]
     return items
 
 
-def _loopable(item) -> bool:
-    if isinstance(item, (SetScalar, Loop)):
-        return False
-    head = item.instructions[0]
-    return head.mem_id is not MemId.NetQ
+def _netq_reads(prefix: List[object], span: List[object]) -> tuple:
+    """(vectors, tiles) one pass over ``span`` pops from the network,
+    under the ``rows``/``columns`` the scalar writes in ``prefix`` leave
+    (the simulator starts at 1/1; loops never hold scalar writes)."""
+    rows = cols = 1
+    for item in prefix:
+        if isinstance(item, SetScalar):
+            if item.reg is ScalarReg.Rows:
+                rows = item.value
+            elif item.reg is ScalarReg.Columns:
+                cols = item.value
+    vectors = tiles = 0
+    for chain in span:
+        if chain.instructions[0].mem_id is not MemId.NetQ:
+            continue
+        if chain.is_matrix_chain:
+            tiles += rows * cols
+        else:
+            vectors += cols if chain.has_mv_mul else rows
+    return vectors, tiles

@@ -184,6 +184,19 @@ class TestNetworkQueues:
         with pytest.raises(MemoryError_):
             q.push_output(np.zeros((1, 3)))
 
+    def test_peek_is_read_only(self):
+        q = NetworkQueues(native_dim=4)
+        for i in range(3):
+            q.push_input(np.full(4, i, dtype=np.float32))
+        peeked = q.peek_inputs(2)
+        assert peeked.shape == (2, 4)
+        peeked[:] = -1.0  # a copy: the queue is unaffected
+        assert q.pending_inputs == 3 and q.vectors_received == 0
+        assert np.array_equal(q.pop_input(3)[:, 0], [0, 1, 2])
+        assert q.peek_inputs(0).shape == (0, 4)
+        with pytest.raises(NetworkQueueEmptyError):
+            q.peek_inputs(1)
+
     def test_counters(self):
         q = NetworkQueues(native_dim=4)
         q.push_input(np.zeros(4))

@@ -33,6 +33,34 @@ def test_small_campaign_per_profile(profile):
 
 
 @pytest.mark.tier1
+def test_mvm_campaign_reaches_hoisted_plans():
+    """Loops may repeat network reads, so fuzz programs contain mv_mul
+    groups whose head is a fresh network input every iteration: the
+    compiled plans hoist them, and all four engines still agree."""
+    report = run_fuzz(seed=0, iterations=60, profile=PROFILES["mvm"])
+    assert report.ok, report.render()
+    assert report.invalid == 0
+    assert report.hoisted_cases > 0, report.render()
+
+
+@pytest.mark.tier1
+def test_folded_netq_reads_keep_the_queue_balanced():
+    """A loop over network reads queues the inputs its extra iterations
+    pop: no generated case underflows or ends with the queue short."""
+    from repro.isa.program import Loop
+    looped = 0
+    for seed in range(60):
+        case = generate_case(seed, profile=PROFILES["memory"])
+        looped += any(
+            isinstance(item, Loop) and any(
+                c.instructions[0].mem_id is MemId.NetQ for c in item.body)
+            for item in case.program.items)
+        result = run_differential(case, check_timing=False)
+        assert result.ok, (seed, result.mismatches)
+    assert looped > 0
+
+
+@pytest.mark.tier1
 def test_committed_corpus_replays_clean():
     report = replay_corpus(CORPUS_DIR)
     assert report.cases_run >= 6
