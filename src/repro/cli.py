@@ -125,8 +125,8 @@ def _cmd_serve_batch(args) -> int:
     from .obs import Metrics, render_prometheus
     from .models.gru import GruReference
     from .models.lstm import LstmReference
-    from .system.batching import (calibrate_batch_curve,
-                                  render_slo_sweep, slo_sweep)
+    from .system.batching import calibrate_batch_curve
+    from .system.loadgen import render_slo_sweep, slo_sweep
     config = _resolve_config(args.config)
     if args.kind == "lstm":
         model = compile_lstm(LstmReference(hidden_dim=args.hidden,

@@ -33,9 +33,10 @@ from ..isa.program import NpuProgram, SetScalar
 from ..memory.dram import Dram
 from ..memory.netq import NetworkQueues
 from ..memory.regfile import MatrixRegisterFile, VectorRegisterFile
-from ..numerics.bfp import decompose, quantize, scales_of, to_float16
+from ..numerics.bfp import quantize
 from ..obs import Metrics, Tracer, or_null, or_null_metrics
 from . import ops
+from .kernels import MvmKernel
 
 #: Quantized MVM input vectors memoized per unique buffer content.
 _INPUT_CACHE_SLOTS = 256
@@ -134,42 +135,8 @@ class FunctionalSimulator:
         }
         self.stats = ExecutionStats()
         self._bfp = None if self.exact else config.bfp_format
-        # MVM kernels operate on *segments*: a native row splits into
-        # ``nb = N / block_size`` scale blocks, and a cols-wide window
-        # becomes ``S = cols * nb`` segments of width ``block_size``,
-        # ordered (c, k) lexicographic — the reference accumulation
-        # order. With the paper's native-block formats nb == 1 and
-        # segments coincide with column blocks.
-        if self._bfp is not None:
-            self._seg_width = self._bfp.block_size
-            self._nb = n // self._seg_width
-        else:
-            self._seg_width = n
-            self._nb = 1
-        # The mantissa-GEMV fast path computes each scale-block dot
-        # product as a float32 GEMV over integer mantissas (the hardware's
-        # exact integer accumulation tree, Section V-A). It is exact —
-        # hence bit-identical to the float64 reference — whenever every
-        # partial sum fits float32's 24-bit integer range.
-        self._mantissa_gemv = (
-            not self.exact
-            and self._seg_width * (self._bfp.max_mantissa ** 2)
-            <= (1 << 24))
-        # Narrower still: pack k mantissa rows into disjoint bit slots of
-        # one float64 lane and recover the k exact integer dot products
-        # from a single GEMV — halving weight traffic for the 2-3 bit
-        # production formats (the hardware's narrow-precision bandwidth
-        # multiplier, Section VI). Slot width w holds any block dot
-        # (|dot| <= block_size*(2^mb-1)^2 <= 2^(w-1)-1) and k slots keep
-        # every partial sum under float64's 53-bit exact-integer range.
-        if not self.exact:
-            block_dot_max = self._seg_width * (self._bfp.max_mantissa ** 2)
-            self._pack_width = block_dot_max.bit_length() + 1
-            k = 53 // self._pack_width
-            self._pack_slots = k if k >= 3 else 0
-        else:
-            self._pack_width = 0
-            self._pack_slots = 0
+        #: The exact MVM shared with compiled and batched replay.
+        self.kernel = MvmKernel(n, self._bfp)
 
     # -- host-facing utilities ---------------------------------------------
 
@@ -524,15 +491,17 @@ class FunctionalSimulator:
                 f"exceeds MRF address space "
                 f"{self.config.mrf_address_space}")
         if self.naive:
-            out = self._mv_mul_naive(base, value, rows, cols)
+            out = self.kernel.round(self._mv_mul_naive(base, value, rows,
+                                                       cols))
         else:
-            out = self._mv_mul_vectorized(base, value, rows, cols)
+            # The window and input operand caches feed the shared kernel.
+            out = self.kernel.apply(self._window_operands(base, rows, cols),
+                                    self._quantized_input(value))[0][0]
         self.stats.mv_mul_count += 1
         self.stats.macs += rows * cols * n * n
         if self._observing:
             self.metrics.counter("executor.macs").inc(rows * cols * n * n)
-        result = out.astype(np.float32)
-        return result if self.exact else to_float16(result)
+        return out
 
     def _mv_mul_naive(self, base: int, value: np.ndarray,
                       rows: int, cols: int) -> np.ndarray:
@@ -545,7 +514,7 @@ class FunctionalSimulator:
             # The MVM quantizes its input vector at the scale-block level;
             # weights were quantized when written into the MRF.
             inputs = quantize(value, self._bfp).astype(np.float64)
-        b, nb = self._seg_width, self._nb
+        b, nb = self.kernel.seg_width, self.kernel.nb
         out = np.zeros((rows, n), dtype=np.float64)
         for r in range(rows):
             acc = np.zeros(n, dtype=np.float64)
@@ -565,223 +534,45 @@ class FunctionalSimulator:
             out[r] = acc
         return out
 
-    def _mv_mul_vectorized(self, base: int, value: np.ndarray,
-                           rows: int, cols: int) -> np.ndarray:
-        """Vectorized mega-SIMD MVM over the assembled weight window.
-
-        Bit-identical to :meth:`_mv_mul_naive` by construction:
-
-        * **Quantized path** — weights and inputs are BFP values
-          ``m * 2^e`` with integer mantissas ``|m| <= 2^mb - 1``. Each
-          scale-block dot product is an integer dot scaled by a power of
-          two, so every float64 partial sum in the reference loop is
-          *exact*. The fast path computes the integer dots with one
-          float32 GEMV per segment (exact while
-          ``block_size * (2^mb - 1)^2 <= 2^24`` — the hardware's integer
-          accumulation tree, Section V-A), rescales in float64 (exact
-          products), and accumulates segments in the same (c, k) order
-          as the reference loop: every partial sum matches bit for bit.
-        * **Exact/wide path** — per-tile float64 matvecs batched as one
-          stacked GEMV per segment, accumulated in the reference
-          segment order; the per-element dot and add sequence is the
-          same as the naive loop's.
-        """
-        n = self.config.native_dim
-        segs = cols * self._nb
-        if self._pack_slots:
-            x_mant, x_scales = self._quantized_input(value)
-            w_packed, w_scales = self._window_operands(base, rows, cols)
-            # One batched GEMV per segment yields the k-packed exact
-            # integer block dots; unpack all segments at once, then
-            # accumulate the per-segment terms in the reference order
-            # (c, k) = (0, 0), (0, 1), ...
-            packed = np.matmul(w_packed, x_mant[:, :, np.newaxis])[:, :, 0]
-            dots = self._unpack(packed, rows * n)
-            terms = dots * (w_scales * x_scales)
-            if segs == 1:
-                return terms.reshape(rows, n)
-            acc = terms[0] + terms[1]
-            for s in range(2, segs):
-                acc += terms[s]
-            return acc.reshape(rows, n)
-        if self._mantissa_gemv:
-            x_mant, x_scales = self._quantized_input(value)
-            w_mant, w_scales = self._window_operands(base, rows, cols)
-            # acc accumulates the exact per-segment terms in the
-            # reference order (c, k) = (0, 0), (0, 1), ...
-            acc = ((w_mant[0] @ x_mant[0]).astype(np.float64)
-                   * (w_scales[0] * x_scales[0]))
-            for s in range(1, segs):
-                acc += ((w_mant[s] @ x_mant[s]).astype(np.float64)
-                        * (w_scales[s] * x_scales[s]))
-            return acc.reshape(rows, n)
-        if self.exact:
-            inputs = value.astype(np.float64)
-        else:
-            inputs = self._quantized_input_f64(value) \
-                .reshape(segs, self._seg_width)
-        blocks = self._window_blocks_f64(base, rows, cols)
-        acc = blocks[0] @ inputs[0]
-        for s in range(1, segs):
-            acc += blocks[s] @ inputs[s]
-        return acc.reshape(rows, n)
-
     # -- mv_mul operand caches ----------------------------------------------
 
     def _quantized_input(self, value: np.ndarray) -> tuple:
-        """BFP-decomposed input vectors: float32 mantissas (S, block)
-        and float64 per-segment scales (S, 1), memoized on buffer
-        content, with ``S = cols * nb`` segments in (c, k) order.
+        """Kernel input operands of one (cols, N) input, memoized on
+        buffer content outside exact mode.
 
         Safe because quantization is a pure function of the bytes and the
         (fixed) format; weights need no such cache — they quantize once
         at MRF write time.
         """
-        entry = self._input_lookup(value)
-        if entry[0] is None:
-            value = entry[2]
-            mant, exps = decompose(value, self._bfp)
-            if self._pack_slots:
-                mant = mant.astype(np.float64)  # packed path runs f64 GEMVs
-            segs = value.shape[0] * self._nb
-            mant = mant.reshape(segs, self._seg_width)
-            scales = scales_of(exps, self._bfp).reshape(segs, 1)
-            entry[0] = (mant, scales)
-        return entry[0]
-
-    def _quantized_input_f64(self, value: np.ndarray) -> np.ndarray:
-        """Quantized input vectors as float64 (wide-mantissa fallback)."""
-        entry = self._input_lookup(value)
-        if entry[1] is None:
-            entry[1] = quantize(entry[2], self._bfp).astype(np.float64)
-        return entry[1]
-
-    def _input_lookup(self, value: np.ndarray) -> list:
-        """LRU entry ``[mantissa_decomposition, f64_values, value_copy]``
-        for the exact bytes of ``value``."""
+        if self.exact:
+            return self.kernel.inputs(value[np.newaxis])
         key = value.tobytes()
-        entry = self._input_cache.get(key)
-        if entry is None:
-            entry = [None, None, np.array(value, dtype=np.float32)]
-            self._input_cache[key] = entry
+        operands = self._input_cache.get(key)
+        if operands is None:
+            operands = self.kernel.inputs(value[np.newaxis])
+            self._input_cache[key] = operands
             while len(self._input_cache) > _INPUT_CACHE_SLOTS:
                 self._input_cache.popitem(last=False)
         else:
             self._input_cache.move_to_end(key)
-        return entry
+        return operands
 
-    def _window_operands(self, base: int, rows: int, cols: int) -> tuple:
-        """Mantissa-GEMV operands for a weight window.
-
-        Plain mode: float32 mantissa segments (S, rows*N, block) and
-        float64 scales (S, rows*N), with ``S = cols * nb`` segments in
-        (c, k) order. Packed mode (``_pack_slots`` = k > 0): k mantissa
-        rows share one float64 lane, (S, ceil(rows*N/k), block), with
-        the same scales array.
-
-        Derived from the assembled MRF window (weights are already
-        BFP-quantized there, so the decomposition is exact and
-        idempotent) and cached against the MRF generation.
-        """
-        entry = self._window_lookup(base, rows, cols)
-        if entry[1] is None:
-            n = self.config.native_dim
-            b, nb = self._seg_width, self._nb
-            segs = cols * nb
-            window = entry[0]
-            # Column-block layout: blocks[c] stacks tile column c of every
-            # window row, (rows*N, N); splitting each native row into nb
-            # scale blocks yields segment s = c*nb + k as (rows*N, block),
-            # each row sharing one exponent.
-            blocks = np.ascontiguousarray(
-                window.reshape(rows * n, cols, n).transpose(1, 0, 2))
-            mant, exps = decompose(blocks.reshape(-1, n), self._bfp)
-            scales = np.ascontiguousarray(
-                scales_of(exps, self._bfp)
-                .reshape(cols, rows * n, nb).transpose(0, 2, 1)
-                .reshape(segs, rows * n))
-            mant = np.ascontiguousarray(
-                mant.reshape(cols, rows * n, nb, b).transpose(0, 2, 1, 3)
-                .reshape(segs, rows * n, b))
-            if self._pack_slots:
-                mant = self._pack_rows(mant, segs, rows * n, b)
-            entry[1] = (mant, scales)
-        return entry[1]
-
-    def _pack_rows(self, mant: np.ndarray, cols: int, total_rows: int,
-                   n: int) -> np.ndarray:
-        """Pack k consecutive mantissa rows into one float64 lane each.
-
-        Row ``g*k + t`` lands in bit slot ``w*(k-1-t)`` of packed row
-        ``g``. Slot values stay integers below ``2^(w-1)`` through the
-        GEMV, so the packed dot product is the exact sum of k disjoint
-        slot dots; :meth:`_unpack` recovers them.
-        """
-        k, w = self._pack_slots, self._pack_width
-        groups = -(-total_rows // k)
-        padded = np.zeros((cols, groups * k, n), dtype=np.float64)
-        padded[:, :total_rows] = mant
-        slot_scale = np.exp2(
-            w * (k - 1 - np.arange(k, dtype=np.float64)))
-        packed = (padded.reshape(cols, groups, k, n)
-                  * slot_scale[np.newaxis, np.newaxis, :, np.newaxis]
-                  ).sum(axis=2)
-        return np.ascontiguousarray(packed)
-
-    def _unpack(self, packed_dots: np.ndarray, count: int) -> np.ndarray:
-        """Recover the k exact integer block dots from packed dots.
-
-        ``packed_dots`` is (cols, G); returns (cols, count). Rounding
-        ``p / 2^(w*(k-1-t))`` isolates the slot-t *prefix* exactly — the
-        slots below it sum to strictly less than half a unit (each |dot|
-        <= 2^(w-1) - 1) — and adjacent prefixes difference to the slot
-        values. Every product and difference stays in float64's exact
-        integer range by the packing bound.
-        """
-        k, w = self._pack_slots, self._pack_width
-        inv = np.exp2(-w * (k - 1 - np.arange(k, dtype=np.float64)))
-        prefixes = np.rint(packed_dots[:, np.newaxis, :] *
-                           inv[np.newaxis, :, np.newaxis])
-        dots = prefixes
-        dots[:, 1:] -= prefixes[:, :-1] * float(np.exp2(w))
-        cols, _, groups = dots.shape
-        return dots.transpose(0, 2, 1).reshape(cols, groups * k)[:, :count]
-
-    def _window_blocks_f64(self, base: int, rows: int,
-                           cols: int) -> np.ndarray:
-        """Float64 segment stack (S, rows*N, block) of a window.
-
-        In exact mode (nb == 1) this is the column-block stack
-        (cols, rows*N, N) unchanged.
-        """
-        entry = self._window_lookup(base, rows, cols)
-        if entry[2] is None:
-            n = self.config.native_dim
-            b, nb = self._seg_width, self._nb
-            blocks = entry[0].reshape(rows * n, cols, n).transpose(1, 0, 2)
-            if nb > 1:
-                blocks = (blocks.reshape(cols, rows * n, nb, b)
-                          .transpose(0, 2, 1, 3)
-                          .reshape(cols * nb, rows * n, b))
-            entry[2] = np.ascontiguousarray(blocks.astype(np.float64))
-        return entry[2]
-
-    def _window_lookup(self, base: int, rows: int, cols: int) -> list:
-        """LRU entry ``[window, mantissa_operands, f64_blocks]`` for a
-        window, invalidated by the MRF generation counter."""
+    def _window_operands(self, base: int, rows: int, cols: int):
+        """Kernel weight operands of a window, derived from the assembled
+        MRF window and cached against the MRF generation counter."""
         key = (base, rows, cols)
         mrf = self.mrf
         entry = self._derived_windows.get(key)
-        if entry is not None and entry[3] == mrf.generation:
+        if entry is not None and entry[0] == mrf.generation:
             # read_window's tile-read accounting must match the naive
             # path even on derived-cache hits.
             mrf.reads += rows * cols
             self._derived_windows.move_to_end(key)
-            return entry
-        window = mrf.read_window(base, rows, cols)
-        entry = [window, None, None, mrf.generation]
-        self._derived_windows[key] = entry
+            return entry[1]
+        weights = self.kernel.weights(mrf.read_window(base, rows, cols),
+                                      rows, cols)
+        self._derived_windows[key] = (mrf.generation, weights)
         self._derived_windows.move_to_end(key)
         while len(self._derived_windows) > _DERIVED_WINDOW_SLOTS:
             self._derived_windows.popitem(last=False)
-        return entry
+        return weights

@@ -14,14 +14,14 @@ This module compiles a program **once** into a flat :class:`ReplayPlan`:
 * operand addresses resolved to pre-bound numpy views of the register
   files (valid forever: VRF/MRF storage is allocated once and written
   in place);
-* ``mv_mul`` weight windows pre-decomposed into the executor's BFP
-  operand layout, revalidated cheaply against the MRF ``generation``
-  counter so ``m_wr``/``load_matrix`` between (or during) runs recompile
-  nothing but rebind the weights;
+* ``mv_mul`` weight windows pre-decomposed into
+  :mod:`~repro.functional.kernels` operands, revalidated cheaply against
+  the MRF ``generation`` counter so ``m_wr``/``load_matrix`` between (or
+  during) runs recompile nothing but rebind the weights;
 * consecutive ``mv_mul`` chains reading the *same* VRF head fused into
   one stacked GEMV (:class:`_MvGroup`) — the LSTM's four gate matrices
   against one input vector become one matmul — legal only on the
-  exact-integer mantissa paths, where the stacked dot products are
+  kernel's exact-integer paths, where the stacked dot products are
   bit-identical to the per-chain ones;
 * groups whose head is provably a network input at every occurrence
   (the RNN input projections ``x_t W``) *hoisted* out of the step loop:
@@ -74,43 +74,24 @@ from ..isa.memspace import MemId, ScalarReg
 from ..isa.opcodes import Opcode
 from ..isa.program import NpuProgram, SetScalar
 from ..memory.regfile import MatrixRegisterFile
-from ..numerics.bfp import decompose, quantize, scales_of, to_float16
+from ..numerics.bfp import quantize
 from . import ops
 
 # Piece kinds inside a compiled vector step (dispatch tags).
 _MV, _BIN, _UN, _WR_VRF, _WR_NETQ, _WR_DRAM = range(6)
 # Head kinds.
 _H_VRF, _H_NETQ, _H_DRAM = range(3)
-# mv_mul compute modes (mirror the executor's fast-path selection).
-_MODE_PACKED, _MODE_MANTISSA, _MODE_F64 = range(3)
-
-
-def _unpack_slots(packed_dots: np.ndarray, k: int, w: int) -> np.ndarray:
-    """Batch-shaped twin of ``FunctionalSimulator._unpack``.
-
-    ``packed_dots`` is (..., G); returns (..., G*k) — the same prefix
-    isolation and adjacent-prefix differencing as the executor, with
-    arbitrary leading axes and no tail trim (callers slice per member).
-    Every element-wise operation matches the executor's bit for bit.
-    """
-    inv = np.exp2(-w * (k - 1 - np.arange(k, dtype=np.float64)))
-    prefixes = np.rint(packed_dots[..., np.newaxis, :] * inv[:, np.newaxis])
-    dots = prefixes.copy()
-    dots[..., 1:, :] -= prefixes[..., :-1, :] * float(np.exp2(w))
-    lead = dots.shape[:-2]
-    return np.swapaxes(dots, -1, -2).reshape(*lead, -1)
 
 
 class _MvGroup:
     """One stacked mega-SIMD MVM shared by one or more fused chains.
 
     Members are consecutive ``mv_mul`` chains reading the same VRF head
-    with the same column count; their weight windows are concatenated
-    along the output-row axis so one GEMV per column block yields every
-    member's block dots. Stacking is exact on the packed and
-    mantissa-GEMV paths (integer dot products are order-insensitive),
-    so member outputs are bit-identical to per-chain execution; the
-    float64/exact path keeps one member per group.
+    with the same column count; their weight windows are stacked along
+    the output-row axis so one kernel apply yields every member's
+    outputs. Stacking is exact on the kernel's integer paths, so member
+    outputs are bit-identical to per-chain execution; the float64 path
+    keeps one member per group.
 
     Stacked operands are cached against the MRF ``generation`` counter:
     an ``m_wr`` or :meth:`~repro.functional.FunctionalSimulator.load_matrix`
@@ -119,47 +100,17 @@ class _MvGroup:
     registers are rewritten.
     """
 
-    __slots__ = ("mode", "members", "cols", "segs", "seg_width", "nb", "n",
-                 "tiles", "offsets", "padded_offsets", "groups_total",
-                 "total_rows", "_generation", "_operands",
-                 "_batched_generation", "_batched_operands", "outputs",
-                 "hoist_heads", "_hoist_inputs", "_hoisted", "_hoist_step")
+    __slots__ = ("kernel", "members", "cols", "tiles", "_generation",
+                 "_operands", "outputs", "hoist_heads", "_hoist_inputs",
+                 "_hoisted", "_hoist_step")
 
     def __init__(self, sim, members: List[Tuple[int, int]], cols: int):
+        self.kernel = sim.kernel
         self.members = tuple(members)  # (mrf_base, rows) per member
         self.cols = cols
-        # Segment view: a native row splits into nb scale blocks, so a
-        # cols-wide window has S = cols*nb GEMV segments in the
-        # executor's (c, k) reference order (nb == 1 for native-block
-        # formats, where segments are exactly the column blocks).
-        self.nb = sim._nb
-        self.seg_width = sim._seg_width
-        self.segs = cols * sim._nb
-        self.n = sim.config.native_dim
-        if sim._pack_slots:
-            self.mode = _MODE_PACKED
-        elif sim._mantissa_gemv:
-            self.mode = _MODE_MANTISSA
-        else:
-            self.mode = _MODE_F64
         self.tiles = sum(rows * cols for _, rows in self.members)
-        n = self.n
-        offsets, off = [], 0
-        padded_offsets, poff = [], 0
-        k = sim._pack_slots or 1
-        for _, rows in self.members:
-            offsets.append(off)
-            off += rows * n
-            padded_offsets.append(poff)
-            poff += -(-(rows * n) // k) * k
-        self.offsets = tuple(offsets)
-        self.total_rows = off
-        self.padded_offsets = tuple(padded_offsets)
-        self.groups_total = poff // k
         self._generation = None
         self._operands = None
-        self._batched_generation = None
-        self._batched_operands = None
         self.outputs = None
         #: (occurrences, cols) network-input positions of the head at
         #: each occurrence, set when the group's input projection is
@@ -171,75 +122,22 @@ class _MvGroup:
 
     # -- operand binding ---------------------------------------------------
 
-    def _refresh(self, sim) -> tuple:
-        """(Re)stack the members' decomposed weight windows.
-
-        Uses the executor's own ``_window_operands`` per member, so
-        per-window derivations, LRU accounting, and ``mrf.reads``
-        attribution match the interpreter exactly.
-        """
-        parts = [sim._window_operands(base, rows, self.cols)
-                 for base, rows in self.members]
-        if self.mode == _MODE_PACKED:
-            k = sim._pack_slots
-            if len(parts) == 1:
-                w_stack = parts[0][0]
-            else:
-                w_stack = np.concatenate([p[0] for p in parts], axis=1)
-            # Scales live at the *unpadded* row positions of each
-            # member's padded slot range; padding rows carry zero
-            # mantissas and zero scales, so their terms vanish exactly.
-            scales = np.zeros((self.segs, self.groups_total * k))
-            for (_, rows), off, part in zip(self.members,
-                                            self.padded_offsets, parts):
-                scales[:, off:off + rows * self.n] = part[1]
-        else:
-            if len(parts) == 1:
-                w_stack, scales = parts[0]
-            else:
-                w_stack = np.concatenate([p[0] for p in parts], axis=1)
-                scales = np.concatenate([p[1] for p in parts], axis=1)
-        return w_stack, scales
-
-    def _bound_operands(self, sim) -> tuple:
+    def _bound_operands(self, sim):
+        """The members' stacked weight operands, restacked from the
+        executor's own window cache when the MRF changed, so per-window
+        derivations, LRU accounting, and ``mrf.reads`` attribution match
+        the interpreter exactly."""
         mrf = sim.mrf
         if self._generation != mrf.generation:
-            self._operands = self._refresh(sim)
+            self._operands = self.kernel.stack([
+                sim._window_operands(base, rows, self.cols)
+                for base, rows in self.members])
             self._generation = mrf.generation
         else:
             # Architectural tile reads still occur on every mv_mul; the
             # interpreter accounts them on window-cache hits too.
             mrf.reads += self.tiles
         return self._operands
-
-    def _batched_scratch(self, w_scales: np.ndarray, batch: int, k: int
-                         ) -> tuple:
-        """Persistent work buffers for the batched packed epilogue.
-
-        Unpacking k slot dots per float64 lane churns several
-        (cols, B, k, groups) temporaries per call; allocating them once
-        and writing through ``out=`` keeps the epilogue off the
-        allocator (large numpy temporaries are mmap-backed, so fresh
-        ones fault in pages every call). Rebuilt when the batch size or
-        the weight scales (MRF generation) change.
-        """
-        key = (batch, self._generation)
-        if self._batched_generation != key:
-            segs = self.segs
-            gp = self.groups_total
-            # Scale layout matching the unpack layout: slot t of packed
-            # group g is unpadded row g*k + t.
-            ws_kgp = np.ascontiguousarray(
-                w_scales.reshape(segs, gp, k).transpose(0, 2, 1))
-            self._batched_operands = (
-                ws_kgp,
-                np.empty((segs, batch, gp)),        # packed GEMM out
-                np.empty((segs, batch, k, gp)),     # slot prefixes
-                np.empty((segs, batch, k, gp)),     # slot dots
-                np.empty((batch, k, gp)),           # segment accumulator
-            )
-            self._batched_generation = key
-        return self._batched_operands
 
     # -- sequence-hoisted compute --------------------------------------------
 
@@ -252,222 +150,51 @@ class _MvGroup:
     def end_hoist(self) -> None:
         self._hoist_inputs = self._hoisted = None
 
-    # -- single-request compute --------------------------------------------
+    # -- compute -----------------------------------------------------------
 
     def compute(self, sim, value: np.ndarray) -> None:
-        if self.mode == _MODE_F64:
-            base, rows = self.members[0]
-            blocks = sim._window_blocks_f64(base, rows, self.cols)
-            self.outputs = (self._f64_member(sim, value, blocks, rows),)
+        """One request: the B=1 case of the kernel apply."""
+        kernel = self.kernel
+        weights = self._bound_operands(sim)
+        if self._hoist_inputs is None:
+            outs = kernel.apply(weights, kernel.inputs(value[np.newaxis]))
+            self.outputs = tuple(out[0] for out in outs)
             return
-        w_stack, w_scales = self._bound_operands(sim)
-        if self._hoist_inputs is not None:
-            # Every occurrence's outputs come from one GEMM with time as
-            # the batch axis, run at the first occurrence (operand
-            # binding and its accounting still happen once per step).
-            if self._hoisted is None:
-                self._hoisted = self._apply_batched(
-                    sim, self._hoist_inputs, w_stack, w_scales)
-            t = self._hoist_step
-            self._hoist_step = t + 1
-            self.outputs = tuple(out[t] for out in self._hoisted)
-            return
-        mant, exps = decompose(value, sim._bfp)
-        mant = mant.reshape(self.segs, self.seg_width)
-        x_scales = scales_of(exps, sim._bfp).reshape(self.segs, 1)
-        if self.mode == _MODE_PACKED:
-            x_mant = mant.astype(np.float64)
-            packed = np.matmul(w_stack, x_mant[:, :, np.newaxis])[:, :, 0]
-            dots = _unpack_slots(packed, sim._pack_slots, sim._pack_width)
-            terms = dots * (w_scales * x_scales)
-            acc = terms[0]
-            for s in range(1, self.segs):
-                acc = acc + terms[s]
-            starts = self.padded_offsets
-        else:
-            acc = ((w_stack[0] @ mant[0]).astype(np.float64)
-                   * (w_scales[0] * x_scales[0]))
-            for s in range(1, self.segs):
-                acc += ((w_stack[s] @ mant[s]).astype(np.float64)
-                        * (w_scales[s] * x_scales[s]))
-            starts = self.offsets
-        out = acc.astype(np.float32)
-        out = to_float16(out)
-        n = self.n
-        self.outputs = tuple(
-            out[start:start + rows * n].reshape(rows, n)
-            for (_, rows), start in zip(self.members, starts))
-
-    def _f64_member(self, sim, value: np.ndarray, blocks: np.ndarray,
-                    rows: int) -> np.ndarray:
-        """Single-member float64/exact MVM (mirrors the interpreter's
-        stacked-f64 fallback, including the finishing rounds)."""
-        if sim.exact:
-            inputs = value.astype(np.float64)
-        else:
-            inputs = sim._quantized_input_f64(value) \
-                .reshape(self.segs, self.seg_width)
-        acc = blocks[0] @ inputs[0]
-        for s in range(1, self.segs):
-            acc += blocks[s] @ inputs[s]
-        out = acc.reshape(rows, self.n).astype(np.float32)
-        return out if sim.exact else to_float16(out)
-
-    # -- batched compute ---------------------------------------------------
+        # Every occurrence's outputs come from one GEMM with time as
+        # the batch axis, run at the first occurrence (operand binding
+        # and its accounting still happen once per step).
+        if self._hoisted is None:
+            self._hoisted = kernel.apply(weights,
+                                         kernel.inputs(self._hoist_inputs))
+        t = self._hoist_step
+        self._hoist_step = t + 1
+        self.outputs = tuple(out[t] for out in self._hoisted)
 
     def compute_batched(self, bstate, value: np.ndarray) -> None:
         """Compute all members for a (B, cols, N) head stack.
 
         With the MRF still shared across requests the stacked operands
-        go through one batched matmul; once the plan has rewritten
+        go through one batched apply; once the plan has rewritten
         matrix registers (per-request MRFs), operands are derived per
-        request and applied one request at a time — identical math,
-        identical bits, just without the batch-axis speedup.
+        request from its private MRF and applied one request at a time —
+        identical math, identical bits, just without the batch-axis
+        speedup.
         """
-        sim = bstate.sim
-        batch = bstate.batch
-        if bstate._mrfs is not None:
-            per_member = [[] for _ in self.members]
-            for b in range(batch):
-                outs = self._compute_one_request(sim, bstate._mrfs[b],
-                                                 value[b])
-                for i, out in enumerate(outs):
-                    per_member[i].append(out)
-            self.outputs = tuple(np.stack(outs) for outs in per_member)
+        kernel = self.kernel
+        if bstate._mrfs is None:
+            self.outputs = kernel.apply(self._bound_operands(bstate.sim),
+                                        kernel.inputs(value))
             return
-        if self.mode == _MODE_F64:
-            base, rows = self.members[0]
-            blocks = sim._window_blocks_f64(base, rows, self.cols)
-            self.outputs = (np.stack([
-                self._f64_member(sim, value[b], blocks, rows)
-                for b in range(batch)]),)
-            return
-        w_stack, w_scales = self._bound_operands(sim)
-        self.outputs = self._apply_batched(sim, value, w_stack, w_scales)
-
-    def _apply_batched(self, sim, value: np.ndarray, w_stack: np.ndarray,
-                       w_scales: np.ndarray) -> tuple:
-        # The GEMMs batch requests along the GEMM's N dimension — that
-        # is what amortizes the weight traffic; a (B, ...) batched
-        # matmul would degrade to B separate GEMVs. Every dot product
-        # is an exact integer, so the batched results equal the
-        # per-request GEMVs bit for bit; scale products and the
-        # segment summation keep the reference operation order.
-        mant, exps = decompose(value, sim._bfp)  # (B, cols, N)
-        batch = value.shape[0]
-        segs = self.segs
-        mant = mant.reshape(batch, segs, self.seg_width)
-        x_scales = scales_of(exps, sim._bfp).reshape(batch, segs, 1)
-        if self.mode == _MODE_PACKED:
-            k, width = sim._pack_slots, sim._pack_width
-            ws_kgp, packed, pref, dots, accb = \
-                self._batched_scratch(w_scales, batch, k)
-            x = mant.astype(np.float64)
-            for s in range(segs):
-                np.matmul(x[:, s], w_stack[s].T, out=packed[s])
-            # Unpack the k slot dots per lane in (.., k, groups) layout
-            # (one transposing copy at the very end instead of one per
-            # column block): dots[t] = pref[t] - pref[t-1] * 2^w.
-            inv = np.exp2(-width * (k - 1 - np.arange(k,
-                                                      dtype=np.float64)))
-            np.multiply(packed[:, :, np.newaxis, :], inv[:, np.newaxis],
-                        out=pref)
-            np.rint(pref, out=pref)
-            two_w = float(np.exp2(width))
-            dots[:, :, 0] = pref[:, :, 0]
-            np.multiply(pref[:, :, :-1], two_w, out=dots[:, :, 1:])
-            np.subtract(pref[:, :, 1:], dots[:, :, 1:],
-                        out=dots[:, :, 1:])
-            # terms = dots * (w_scales * x_scales). Both scale factors
-            # are exact powers of two, so the two in-place multiplies
-            # equal the reference's dots * (ws * xs) bit for bit.
-            np.multiply(dots, ws_kgp[:, np.newaxis], out=dots)
-            np.multiply(dots, x_scales.transpose(1, 0, 2)[..., np.newaxis],
-                        out=dots)
-            if segs == 1:
-                acc = dots[0]
-            else:
-                np.add(dots[0], dots[1], out=accb)
-                for s in range(2, segs):
-                    np.add(accb, dots[s], out=accb)
-                acc = accb
-            # (B, k, groups) -> (B, groups, k) -> rows g*k + t.
-            out = acc.transpose(0, 2, 1).astype(np.float32)
-            out = out.reshape(batch, -1)
-            starts = self.padded_offsets
-        else:
-            acc = (np.matmul(mant[:, 0], w_stack[0].T).astype(np.float64)
-                   * (w_scales[0] * x_scales[:, 0]))
-            for s in range(1, segs):
-                acc += (np.matmul(mant[:, s], w_stack[s].T)
-                        .astype(np.float64)
-                        * (w_scales[s] * x_scales[:, s]))
-            out = acc.astype(np.float32)
-            starts = self.offsets
-        out = to_float16(out)
-        n = self.n
-        return tuple(
-            out[:, start:start + rows * n].reshape(batch, rows, n)
-            for (_, rows), start in zip(self.members, starts))
-
-    def _compute_one_request(self, sim, mrf: MatrixRegisterFile,
-                             value: np.ndarray) -> list:
-        """All member outputs for one request against a private MRF.
-
-        Re-derives operands with the same formulas as the executor's
-        ``_window_operands`` / ``_window_blocks_f64`` (windows cache
-        inside the private MRF against its own generation counter).
-        """
-        n = self.n
-        cols = self.cols
-        b, nb, segs = self.seg_width, self.nb, self.segs
-        outs = []
-        if self.mode == _MODE_F64:
-            base, rows = self.members[0]
-            window = mrf.read_window(base, rows, cols)
-            blocks = window.reshape(rows * n, cols, n).transpose(1, 0, 2)
-            if nb > 1:
-                blocks = (blocks.reshape(cols, rows * n, nb, b)
-                          .transpose(0, 2, 1, 3).reshape(segs, rows * n, b))
-            blocks = np.ascontiguousarray(blocks.astype(np.float64))
-            return [self._f64_member(sim, value, blocks, rows)]
-        mant_x, exps = decompose(value, sim._bfp)
-        mant_x = mant_x.reshape(segs, b)
-        x_scales = scales_of(exps, sim._bfp).reshape(segs, 1)
-        for base, rows in self.members:
-            window = mrf.read_window(base, rows, cols)
-            blocks = np.ascontiguousarray(
-                window.reshape(rows * n, cols, n).transpose(1, 0, 2))
-            w_mant, w_exps = decompose(blocks.reshape(-1, n), sim._bfp)
-            w_scales = np.ascontiguousarray(
-                scales_of(w_exps, sim._bfp)
-                .reshape(cols, rows * n, nb).transpose(0, 2, 1)
-                .reshape(segs, rows * n))
-            w_mant = np.ascontiguousarray(
-                w_mant.reshape(cols, rows * n, nb, b)
-                .transpose(0, 2, 1, 3).reshape(segs, rows * n, b))
-            if self.mode == _MODE_PACKED:
-                w_mant = sim._pack_rows(w_mant, segs, rows * n, b)
-                x_mant = mant_x.astype(np.float64)
-                packed = np.matmul(w_mant,
-                                   x_mant[:, :, np.newaxis])[:, :, 0]
-                dots = sim._unpack(packed, rows * n)
-                terms = dots * (w_scales * x_scales)
-                if segs == 1:
-                    acc = terms.reshape(-1)
-                else:
-                    acc = terms[0] + terms[1]
-                    for s in range(2, segs):
-                        acc += terms[s]
-            else:
-                acc = ((w_mant[0] @ mant_x[0]).astype(np.float64)
-                       * (w_scales[0] * x_scales[0]))
-                for s in range(1, segs):
-                    acc += ((w_mant[s] @ mant_x[s]).astype(np.float64)
-                            * (w_scales[s] * x_scales[s]))
-            out = acc.reshape(rows, n).astype(np.float32)
-            outs.append(to_float16(out))
-        return outs
+        per_request = []
+        for mrf, x in zip(bstate._mrfs, value):
+            weights = kernel.stack([
+                kernel.weights(mrf.read_window(base, rows, self.cols),
+                               rows, self.cols)
+                for base, rows in self.members])
+            per_request.append(kernel.apply(weights,
+                                            kernel.inputs(x[np.newaxis])))
+        self.outputs = tuple(np.concatenate(outs)
+                             for outs in zip(*per_request))
 
 
 # ---------------------------------------------------------------------------
@@ -1037,7 +764,6 @@ def compile_plan(sim, program: NpuProgram,
     writes: Dict[int, list] = {}
     footprints: Dict[MemId, int] = {}
 
-    single_member = sim._pack_slots == 0 and not sim._mantissa_gemv
     open_run: List[_ChainTemplate] = []
 
     def flush_run():
@@ -1090,7 +816,7 @@ def compile_plan(sim, program: NpuProgram,
         if kind == "chain":
             t = record[1]
             if isinstance(t, _ChainTemplate) and t.mv_base is not None:
-                fusable = (t.head_kind == _H_VRF and not single_member)
+                fusable = t.head_kind == _H_VRF and sim.kernel.integer
                 if open_run and not (
                         fusable
                         and t.head_mem is open_run[0].head_mem
@@ -1239,7 +965,7 @@ def _hoist_input_projections(steps) -> Tuple[int, tuple]:
                         origin[(mem, index + i)] = value[i]
     hoisted = []
     for group, occurrences in uses.items():
-        if (group.mode == _MODE_F64 or len(occurrences) < 2
+        if (not group.kernel.integer or len(occurrences) < 2
                 or len({e for e, _ in occurrences}) > 1
                 or any(v is None for _, v in occurrences)):
             continue

@@ -266,7 +266,7 @@ def bench_batching_goodput(kind: str, hidden: int, config: NpuConfig,
 
     Calibrates a :class:`~repro.system.batching.ServiceTimeCurve` from
     batched-replay wall clock (interleaved best-of timing, monotone
-    clamp), then runs the :func:`~repro.system.batching.slo_sweep`
+    clamp), then runs the :func:`~repro.system.loadgen.slo_sweep`
     discrete-event comparison on that measured curve: identical Poisson
     arrival traces through a batch-1 server and an SLO-aware
     :class:`~repro.system.batching.DynamicBatcher`, SLO fixed at 8x
@@ -276,7 +276,8 @@ def bench_batching_goodput(kind: str, hidden: int, config: NpuConfig,
     baseline is the batch-1 server's peak, so ``speedup`` is the
     goodput ratio the serving gate floors.
     """
-    from ..system.batching import calibrate_batch_curve, slo_sweep
+    from ..system.batching import calibrate_batch_curve
+    from ..system.loadgen import slo_sweep
     model = _compile_rnn(kind, hidden, config)
     if quick:
         batches, steps, repeats = (1, 4, 8, 16), 4, 2

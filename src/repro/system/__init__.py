@@ -19,8 +19,6 @@ from .batching import (
     ServiceTimeCurve,
     calibrate_batch_curve,
     record_batch_series,
-    render_slo_sweep,
-    slo_sweep,
 )
 from .faults import (
     FaultInjector,
@@ -43,7 +41,9 @@ from .loadgen import (
     diurnal_arrivals,
     heavy_tailed_arrivals,
     poisson_arrivals,
+    render_slo_sweep,
     run_fault_scenario,
+    slo_sweep,
     uniform_arrivals,
 )
 from .cluster import (

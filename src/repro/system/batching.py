@@ -20,7 +20,9 @@ and makes its cost/benefit measurable against the BW batch-1 design:
   on the SLO.  No randomness — identical inputs reproduce identical
   target trajectories.
 * :class:`DynamicBatcher` — the serving loop: a discrete-event
-  simulation of one batching queue in front of one node.  In
+  simulation of one batching queue in front of one node, and the one
+  target-or-timeout batch-formation loop (the load generator's
+  batch-1 and batching servers run it too).  In
   *real-execution* mode it drives
   :meth:`~repro.system.microservice.HardwareMicroservice.invoke_batched`
   so every dispatched batch is one
@@ -28,10 +30,9 @@ and makes its cost/benefit measurable against the BW batch-1 design:
   per-request outputs bit-identical to sequential invocation; in
   *curve-only* mode service times come from a measured
   :class:`ServiceTimeCurve` and million-request sweeps run in seconds.
-* :func:`slo_sweep` — the headline benchmark: goodput (requests
-  completed within a fixed p99-style SLO per second) of dynamic
-  batching vs. the batch-1 server, swept over arrival rates.  Its
-  payload feeds ``BENCH_perf.json`` and the CI goodput gate.
+
+The headline goodput sweep over these pieces is
+:func:`repro.system.loadgen.slo_sweep`.
 
 Simulated time is seconds.  Everything except the wall-clock
 calibration itself is deterministic for fixed seeds.
@@ -50,7 +51,6 @@ import numpy as np
 from ..errors import ReproError
 from ..obs import Metrics, Tracer, or_null, or_null_metrics, \
     percentile_or_nan
-from .loadgen import Batch1Server, ServedRequest, poisson_arrivals
 from .microservice import HardwareMicroservice
 
 #: Histogram bucket bounds for batch occupancy (requests per dispatch).
@@ -62,6 +62,24 @@ QUEUE_WAIT_BOUNDS = (1e-5, 1e-4, 3e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 
 class BatchingError(ReproError):
     """Invalid batching policy, curve, or serving parameters."""
+
+
+@dataclasses.dataclass(frozen=True)
+class ServedRequest:
+    """One request's lifecycle timestamps (seconds)."""
+
+    arrival: float
+    start: float
+    finish: float
+
+    @property
+    def latency(self) -> float:
+        return self.finish - self.arrival
+
+    @property
+    def queue_wait(self) -> float:
+        return self.start - self.arrival
+
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +396,6 @@ class BatchServeResult:
         return met / span if span > 0 else float("inf")
 
 
-def goodput_rps(requests: Sequence[ServedRequest],
-                slo_s: float) -> float:
-    """SLO-met completions per second for any served-request list
-    (shared with the batch-1 baseline in :func:`slo_sweep`)."""
-    if not requests:
-        return float("nan")
-    span = max(r.finish for r in requests) - requests[0].arrival
-    met = sum(1 for r in requests if r.latency <= slo_s)
-    return met / span if span > 0 else float("inf")
-
-
 class DynamicBatcher:
     """One SLO-aware batching queue in front of one serving node.
 
@@ -402,8 +409,8 @@ class DynamicBatcher:
       real :class:`~repro.functional.replay.BatchedReplay` per
       dispatch and the result carries per-request outputs bit-identical
       to sequential invocation.
-    * ``curve`` (a measured :class:`ServiceTimeCurve`): pure
-      discrete-event mode for large sweeps.
+    * ``curve`` (a measured :class:`ServiceTimeCurve`, or any batch ->
+      seconds callable): pure discrete-event mode for large sweeps.
 
     ``metrics`` receives the observability contract of the serving
     stack: a ``serving.batch_occupancy`` histogram (requests per
@@ -531,67 +538,6 @@ class DynamicBatcher:
             else [], outputs=outputs)
 
 
-# ---------------------------------------------------------------------------
-# The headline sweep: goodput at a fixed SLO, batch-1 vs dynamic
-# ---------------------------------------------------------------------------
-
-def slo_sweep(curve: ServiceTimeCurve, slo_s: float,
-              rates_rps: Sequence[float], requests: int = 2000,
-              max_batch: int = 16, timeout_s: Optional[float] = None,
-              seed: int = 0,
-              metrics: Optional[Metrics] = None) -> Dict:
-    """Goodput at a fixed SLO: batch-1 vs SLO-aware dynamic batching.
-
-    Both servers see identical Poisson arrival traces per rate.  The
-    batch-1 server runs at the measured batch-1 service time (the BW
-    regime); the dynamic batcher runs the same measured curve under an
-    :class:`AdaptiveBatchPolicy` targeting ``slo_s``.  The payload's
-    ``goodput_ratio`` is the peak dynamic goodput over the peak
-    batch-1 goodput across the sweep — the number the perf gate floors.
-    """
-    if slo_s <= 0:
-        raise BatchingError(f"slo_s must be positive, got {slo_s}")
-    if not rates_rps:
-        raise BatchingError("rates_rps must be non-empty")
-    if timeout_s is None:
-        timeout_s = slo_s / 4.0
-    batch1 = Batch1Server(curve(1))
-    rows = []
-    for rate in rates_rps:
-        arrivals = poisson_arrivals(float(rate), requests, seed=seed)
-        base = batch1.simulate(arrivals)
-        batcher = DynamicBatcher(
-            BatchPolicy(max_batch=max_batch, timeout_s=timeout_s),
-            curve=curve,
-            adaptive=AdaptiveBatchPolicy(slo_s, max_batch=max_batch),
-            metrics=metrics)
-        dyn = batcher.run(arrivals)
-        rows.append({
-            "rate_rps": float(rate),
-            "batch1_goodput_rps": goodput_rps(base.requests, slo_s),
-            "batch1_p99_ms": base.p99_ms,
-            "dynamic_goodput_rps": dyn.goodput_rps(slo_s),
-            "dynamic_p99_ms": dyn.p99_ms,
-            "dynamic_mean_batch": dyn.mean_batch,
-            "dynamic_slo_attainment": dyn.slo_attainment(slo_s),
-        })
-    peak_batch1 = max(r["batch1_goodput_rps"] for r in rows)
-    peak_dynamic = max(r["dynamic_goodput_rps"] for r in rows)
-    ratio = (peak_dynamic / peak_batch1 if peak_batch1 > 0
-             else float("nan"))
-    return {
-        "slo_ms": slo_s * 1e3,
-        "timeout_ms": timeout_s * 1e3,
-        "max_batch": max_batch,
-        "requests_per_rate": requests,
-        "curve": curve.to_json(),
-        "rates": rows,
-        "peak_goodput_batch1_rps": peak_batch1,
-        "peak_goodput_dynamic_rps": peak_dynamic,
-        "goodput_ratio": ratio,
-    }
-
-
 def record_batch_series(batch_log: Sequence[Tuple[float, int]],
                         store) -> None:
     """Fold a batched run's dispatch log into a
@@ -615,26 +561,3 @@ def record_batch_series(batch_log: Sequence[Tuple[float, int]],
     for w in np.nonzero(counts)[0]:
         gauge.record(store.start_s + (w + 0.5) * store.interval_s,
                      sums[w] / counts[w])
-
-
-def render_slo_sweep(payload: Dict) -> str:
-    """Fixed-width table of one :func:`slo_sweep` payload."""
-    header = (f"{'rate r/s':>10} {'b1 goodput':>11} {'b1 p99ms':>9} "
-              f"{'dyn goodput':>12} {'dyn p99ms':>10} {'mean b':>7}")
-    lines = [f"SLO {payload['slo_ms']:.3f} ms, max_batch "
-             f"{payload['max_batch']}, timeout "
-             f"{payload['timeout_ms']:.3f} ms",
-             header, "-" * len(header)]
-    for r in payload["rates"]:
-        lines.append(
-            f"{r['rate_rps']:>10.0f} {r['batch1_goodput_rps']:>11.0f} "
-            f"{r['batch1_p99_ms']:>9.3f} "
-            f"{r['dynamic_goodput_rps']:>12.0f} "
-            f"{r['dynamic_p99_ms']:>10.3f} "
-            f"{r['dynamic_mean_batch']:>7.2f}")
-    lines.append(
-        f"peak goodput: batch-1 "
-        f"{payload['peak_goodput_batch1_rps']:.0f}/s, dynamic "
-        f"{payload['peak_goodput_dynamic_rps']:.0f}/s -> "
-        f"{payload['goodput_ratio']:.2f}x")
-    return "\n".join(lines)

@@ -28,28 +28,13 @@ import numpy as np
 from ..errors import ReproError
 from ..obs import Metrics, Tracer, or_null, or_null_metrics, \
     percentile_or_nan
+from .batching import AdaptiveBatchPolicy, BatchingError, BatchPolicy, \
+    DynamicBatcher, ServedRequest, ServiceTimeCurve
 from .faults import FaultInjector, InvocationOutcome, ResilientClient
 
 
 class LoadError(ReproError):
     """Invalid load-generation parameters."""
-
-
-@dataclasses.dataclass(frozen=True)
-class ServedRequest:
-    """One request's lifecycle timestamps (seconds)."""
-
-    arrival: float
-    start: float
-    finish: float
-
-    @property
-    def latency(self) -> float:
-        return self.finish - self.arrival
-
-    @property
-    def queue_wait(self) -> float:
-        return self.start - self.arrival
 
 
 @dataclasses.dataclass(frozen=True)
@@ -211,8 +196,20 @@ def heavy_tailed_arrivals(rate_rps: float, count: int,
     return np.cumsum(gaps)
 
 
+def _serve(service_time: Callable[[int], float], max_batch: int,
+           timeout_s: float, arrivals: Sequence[float]) -> LoadResult:
+    """FIFO batch formation over a service-time function, by the one
+    target-or-timeout loop (:class:`~repro.system.batching
+    .DynamicBatcher`)."""
+    batcher = DynamicBatcher(
+        BatchPolicy(max_batch=max_batch, timeout_s=timeout_s),
+        curve=service_time)
+    return LoadResult(batcher.run(sorted(arrivals)).requests)
+
+
 class Batch1Server:
-    """One request at a time at a fixed service time — the BW regime."""
+    """One request at a time at a fixed service time — the BW regime:
+    a batcher with ``max_batch=1`` and no forming timeout."""
 
     def __init__(self, service_time_s: float):
         if service_time_s <= 0:
@@ -224,14 +221,7 @@ class Batch1Server:
         return 1.0 / self.service_time_s
 
     def simulate(self, arrivals: Sequence[float]) -> LoadResult:
-        served: List[ServedRequest] = []
-        free_at = 0.0
-        for arrival in arrivals:
-            start = max(arrival, free_at)
-            finish = start + self.service_time_s
-            free_at = finish
-            served.append(ServedRequest(arrival, start, finish))
-        return LoadResult(served)
+        return _serve(lambda batch: self.service_time_s, 1, 0.0, arrivals)
 
 
 class BatchingServer:
@@ -266,33 +256,8 @@ class BatchingServer:
         return self.max_batch / self.batch_service_time(self.max_batch)
 
     def simulate(self, arrivals: Sequence[float]) -> LoadResult:
-        arrivals = sorted(arrivals)
-        served: List[ServedRequest] = []
-        free_at = 0.0
-        i = 0
-        n = len(arrivals)
-        while i < n:
-            # The server considers dispatch once it is free and at
-            # least one request is waiting.
-            head = max(arrivals[i], free_at)
-            deadline = max(arrivals[i] + self.timeout_s, head)
-            # Requests arriving by the deadline may join, up to
-            # max_batch; a full batch dispatches immediately.
-            j = i
-            dispatch_at = deadline
-            while j < n and j - i < self.max_batch \
-                    and arrivals[j] <= deadline:
-                j += 1
-            if j - i == self.max_batch:
-                dispatch_at = max(arrivals[j - 1], head)
-            batch = arrivals[i:j]
-            start = max(dispatch_at, free_at)
-            finish = start + self.batch_service_time(len(batch))
-            free_at = finish
-            for arrival in batch:
-                served.append(ServedRequest(arrival, start, finish))
-            i = j
-        return LoadResult(served)
+        return _serve(self.batch_service_time, self.max_batch,
+                      self.timeout_s, arrivals)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -486,3 +451,91 @@ def compare_under_load(bw_service_s: float,
             bw=bw_server.simulate(arrivals),
             gpu=gpu_server.simulate(arrivals)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# The headline sweep: goodput at a fixed SLO, batch-1 vs dynamic
+# ---------------------------------------------------------------------------
+
+def slo_sweep(curve: ServiceTimeCurve, slo_s: float,
+              rates_rps: Sequence[float], requests: int = 2000,
+              max_batch: int = 16, timeout_s: Optional[float] = None,
+              seed: int = 0,
+              metrics: Optional[Metrics] = None) -> Dict:
+    """Goodput at a fixed SLO: batch-1 vs SLO-aware dynamic batching.
+
+    Both servers see identical Poisson arrival traces per rate.  The
+    batch-1 server runs at the measured batch-1 service time (the BW
+    regime); the dynamic batcher runs the same measured curve under an
+    :class:`AdaptiveBatchPolicy` targeting ``slo_s``.  The payload's
+    ``goodput_ratio`` is the peak dynamic goodput over the peak
+    batch-1 goodput across the sweep — the number the perf gate floors.
+    """
+    if slo_s <= 0:
+        raise BatchingError(f"slo_s must be positive, got {slo_s}")
+    if not rates_rps:
+        raise BatchingError("rates_rps must be non-empty")
+    if timeout_s is None:
+        timeout_s = slo_s / 4.0
+    # The batch-1 server is the same loop at max_batch=1; it records
+    # nothing into ``metrics``, which observe the dynamic batcher.
+    batch1 = DynamicBatcher(BatchPolicy(max_batch=1, timeout_s=0.0),
+                            curve=curve)
+    rows = []
+    for rate in rates_rps:
+        arrivals = poisson_arrivals(float(rate), requests, seed=seed)
+        base = batch1.run(arrivals)
+        batcher = DynamicBatcher(
+            BatchPolicy(max_batch=max_batch, timeout_s=timeout_s),
+            curve=curve,
+            adaptive=AdaptiveBatchPolicy(slo_s, max_batch=max_batch),
+            metrics=metrics)
+        dyn = batcher.run(arrivals)
+        rows.append({
+            "rate_rps": float(rate),
+            "batch1_goodput_rps": base.goodput_rps(slo_s),
+            "batch1_p99_ms": base.p99_ms,
+            "dynamic_goodput_rps": dyn.goodput_rps(slo_s),
+            "dynamic_p99_ms": dyn.p99_ms,
+            "dynamic_mean_batch": dyn.mean_batch,
+            "dynamic_slo_attainment": dyn.slo_attainment(slo_s),
+        })
+    peak_batch1 = max(r["batch1_goodput_rps"] for r in rows)
+    peak_dynamic = max(r["dynamic_goodput_rps"] for r in rows)
+    ratio = (peak_dynamic / peak_batch1 if peak_batch1 > 0
+             else float("nan"))
+    return {
+        "slo_ms": slo_s * 1e3,
+        "timeout_ms": timeout_s * 1e3,
+        "max_batch": max_batch,
+        "requests_per_rate": requests,
+        "curve": curve.to_json(),
+        "rates": rows,
+        "peak_goodput_batch1_rps": peak_batch1,
+        "peak_goodput_dynamic_rps": peak_dynamic,
+        "goodput_ratio": ratio,
+    }
+
+
+
+def render_slo_sweep(payload: Dict) -> str:
+    """Fixed-width table of one :func:`slo_sweep` payload."""
+    header = (f"{'rate r/s':>10} {'b1 goodput':>11} {'b1 p99ms':>9} "
+              f"{'dyn goodput':>12} {'dyn p99ms':>10} {'mean b':>7}")
+    lines = [f"SLO {payload['slo_ms']:.3f} ms, max_batch "
+             f"{payload['max_batch']}, timeout "
+             f"{payload['timeout_ms']:.3f} ms",
+             header, "-" * len(header)]
+    for r in payload["rates"]:
+        lines.append(
+            f"{r['rate_rps']:>10.0f} {r['batch1_goodput_rps']:>11.0f} "
+            f"{r['batch1_p99_ms']:>9.3f} "
+            f"{r['dynamic_goodput_rps']:>12.0f} "
+            f"{r['dynamic_p99_ms']:>10.3f} "
+            f"{r['dynamic_mean_batch']:>7.2f}")
+    lines.append(
+        f"peak goodput: batch-1 "
+        f"{payload['peak_goodput_batch1_rps']:.0f}/s, dynamic "
+        f"{payload['peak_goodput_dynamic_rps']:.0f}/s -> "
+        f"{payload['goodput_ratio']:.2f}x")
+    return "\n".join(lines)

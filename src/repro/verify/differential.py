@@ -116,11 +116,16 @@ def _compare_arrays(label: str, a: np.ndarray, b: np.ndarray,
         return
     if not np.array_equal(a, b, equal_nan=True):
         a64, b64 = a.astype(np.float64), b.astype(np.float64)
-        delta = np.abs(a64 - b64)
-        delta[np.isnan(delta)] = np.inf       # one-sided NaN: divergent
-        delta[np.isnan(a64) & np.isnan(b64)] = 0.0
+        # Only elements that differ compete (NaN matches NaN); an equal
+        # inf pair would otherwise subtract to NaN.
+        differs = (a64 != b64) & ~(np.isnan(a64) & np.isnan(b64))
+        delta = np.full(a.shape, -1.0)
+        gap = np.abs(a64[differs] - b64[differs])
+        gap[np.isnan(gap)] = np.inf           # one-sided NaN: divergent
+        delta[differs] = gap
         idx = np.unravel_index(int(np.argmax(delta)), a.shape)
-        out.append(f"{label}: worst divergence at {tuple(idx)}: "
+        out.append(f"{label}: worst divergence at "
+                   f"{tuple(int(i) for i in idx)}: "
                    f"{a[idx]!r} != {b[idx]!r}")
 
 

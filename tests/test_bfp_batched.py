@@ -5,8 +5,9 @@ batch of vectors in one call is element-wise identical to quantizing
 each vector alone (blocks are independent), and :func:`decompose`
 produces exactly the mantissas/exponents of :func:`quantize_with_info`
 without materializing values. A final property drives the whole stack:
-naive and vectorized ``mv_mul`` agree bit for bit on random windows in
-both Table IV formats.
+the naive ``mv_mul`` and every engine built on the shared MVM kernel
+(vectorized interpreter, compiled replay, batched replay) agree bit for
+bit on random windows on each kernel path.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import NpuConfig
-from repro.functional import FunctionalSimulator
+from repro.functional import BatchedReplay, FunctionalSimulator
 from repro.isa import MemId, ProgramBuilder
 from repro.numerics.bfp import (
     MSFP_CNN,
@@ -115,44 +116,77 @@ def test_exponent_clamp_edges_batched_equals_scalar():
     assert exps[2] == fmt.max_exponent
 
 
-# -- naive vs. vectorized mv_mul ------------------------------------------
+# -- naive vs. every engine's mv_mul ------------------------------------
 
+def _cfg(name, **fmt):
+    return NpuConfig(name=name, tile_engines=2, lanes=4, native_dim=128,
+                     mrf_size=64, **fmt)
+
+
+#: One config per kernel path: packed GEMV (mb=2), mantissa GEMV
+#: (mb=5), float64 (exact, mb=0), and a sub-block MX format (nb=4).
 _CFGS = {
-    2: NpuConfig(name="prop_rnn", tile_engines=2, lanes=4, native_dim=128,
-                 mrf_size=64, mantissa_bits=2),
-    5: NpuConfig(name="prop_cnn", tile_engines=2, lanes=4, native_dim=128,
-                 mrf_size=64, mantissa_bits=5),
+    "mb2": _cfg("prop_rnn", mantissa_bits=2),
+    "mb5": _cfg("prop_cnn", mantissa_bits=5),
+    "exact": _cfg("prop_exact", mantissa_bits=0),
+    "mx4": _cfg("prop_mx4", mantissa_bits=3, exponent_bits=8,
+                bfp_block_size=32, scale_encoding="e8m0"),
 }
 
+#: Requests stepped together through the batched replay.
+_BATCH = 3
 
-def _mvm(sim, W, x, rows, cols):
-    sim.load_matrix(0, W)
-    sim.load_vector(MemId.InitialVrf, 0, x)
+
+def _mvm_program(rows, cols):
     b = ProgramBuilder("p")
     b.set_rows(rows)
     b.set_columns(cols)
-    b.v_rd(MemId.InitialVrf, 0)
+    b.v_rd(MemId.NetQ)
     b.mv_mul(0)
-    b.v_wr(MemId.InitialVrf, cols)
-    sim.run(b.build())
-    return sim.read_vector(MemId.InitialVrf, cols,
-                           rows * sim.config.native_dim)
+    b.v_wr(MemId.NetQ)
+    return b.build()
 
 
-@given(mantissa_bits=st.sampled_from([2, 5]),
+def _mvm(cfg, W, x, program, naive=False, compiled=False):
+    sim = FunctionalSimulator(cfg, naive=naive)
+    sim.load_matrix(0, W)
+    sim.push_input(x)
+    sim.run(program, compiled=compiled)
+    return sim.pop_outputs_flat()
+
+
+def _mvm_batched(cfg, W, xs, program, cols):
+    sim = FunctionalSimulator(cfg)
+    sim.load_matrix(0, W)
+    replay = BatchedReplay(sim, program, len(xs))
+    n = cfg.native_dim
+    for c in range(cols):
+        replay.push_input(xs[:, c * n:(c + 1) * n])
+    replay.run()
+    return [np.concatenate(outs) for outs in replay.pop_outputs()]
+
+
+@given(config=st.sampled_from(sorted(_CFGS)),
        rows=st.integers(1, 4), cols=st.integers(1, 4),
        seed=st.integers(0, 2**16))
 @settings(max_examples=25, deadline=None)
-def test_mv_mul_naive_vs_vectorized_bit_exact(mantissa_bits, rows, cols,
-                                              seed):
-    """Random windows in both published formats: the vectorized path
-    (packed GEMV for mb=2, mantissa-GEMV for mb=5 at n=128) returns the
+def test_mv_mul_naive_vs_vectorized_bit_exact(config, rows, cols, seed):
+    """Random windows on every kernel path: the vectorized interpreter,
+    the compiled replay and each request of a batched replay return the
     naive reference bit for bit."""
-    cfg = _CFGS[mantissa_bits]
+    cfg = _CFGS[config]
     n = cfg.native_dim
     rng = np.random.default_rng(seed)
     W = rng.uniform(-4, 4, (rows * n, cols * n)).astype(np.float32)
-    x = rng.uniform(-4, 4, cols * n).astype(np.float32)
-    fast = _mvm(FunctionalSimulator(cfg), W, x, rows, cols)
-    ref = _mvm(FunctionalSimulator(cfg, naive=True), W, x, rows, cols)
-    assert np.array_equal(fast, ref)
+    # Per-32-element power-of-two spreads give each request and block
+    # its own shared exponent.
+    spread = np.exp2(rng.integers(-6, 7, (_BATCH, cols * n // 32)))
+    xs = (rng.uniform(-4, 4, (_BATCH, cols * n))
+          * spread.repeat(32, axis=1)).astype(np.float32)
+    program = _mvm_program(rows, cols)
+    refs = [_mvm(cfg, W, x, program, naive=True) for x in xs]
+    assert np.array_equal(_mvm(cfg, W, xs[0], program), refs[0])
+    assert np.array_equal(_mvm(cfg, W, xs[0], program, compiled=True),
+                          refs[0])
+    for got, ref in zip(_mvm_batched(cfg, W, xs, program, cols), refs):
+        assert np.array_equal(got, ref)

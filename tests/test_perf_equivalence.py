@@ -13,7 +13,7 @@ import pytest
 
 from repro.compiler.lowering import compile_gru, compile_lstm
 from repro.config import BW_CNN_A10, BW_S5, NpuConfig
-from repro.functional import FunctionalSimulator
+from repro.functional import FunctionalSimulator, kernels
 from repro.isa import MemId, ProgramBuilder
 from repro.memory import MatrixRegisterFile, VectorRegisterFile
 from repro.models.gru import GruReference
@@ -96,9 +96,9 @@ def test_packed_gemv_active_only_for_narrow_formats():
     rnn = FunctionalSimulator(RNN_CFG)
     cnn = FunctionalSimulator(CNN_CFG)
     ex = FunctionalSimulator(RNN_CFG, exact=True)
-    assert rnn._pack_slots >= 3 and rnn._mantissa_gemv
-    assert cnn._pack_slots == 0 and cnn._mantissa_gemv
-    assert ex._pack_slots == 0 and not ex._mantissa_gemv
+    assert rnn.kernel.path == kernels.PACKED and rnn.kernel.slots >= 3
+    assert cnn.kernel.path == kernels.MANTISSA and cnn.kernel.slots == 0
+    assert ex.kernel.path == kernels.F64 and ex.kernel.slots == 0
 
 
 def test_mrf_rewrite_invalidates_window_cache():

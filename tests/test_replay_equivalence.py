@@ -19,6 +19,7 @@ import pytest
 from repro.compiler import compile_gru, compile_lstm
 from repro.config import BW_S10, NpuConfig
 from repro.errors import NetworkQueueEmptyError, UnbatchablePlanError
+from repro.functional.kernels import MvmKernel
 from repro.functional.replay import BatchedReplay, _MvGroup
 from repro.isa import MemId, ProgramBuilder, ScalarReg
 from repro.models import GruReference, LstmReference
@@ -337,16 +338,26 @@ _HOIST_IDS = ["lstm-bw_s10", "gru-bw_s10", "lstm-mb5", "gru-mb5",
 
 
 def _count_sequence_gemms(monkeypatch):
-    """Count `_MvGroup._apply_batched` calls (one per hoisted group per
-    batch-1 run; the sequential path never calls it otherwise)."""
-    calls = []
-    orig = _MvGroup._apply_batched
+    """Record the group behind every sequence GEMM: a kernel apply over
+    more than one input issued by a batch-1 `_MvGroup.compute` (one per
+    hoisted group per run; single-step applies have B=1)."""
+    calls, current = [], []
+    compute, apply = _MvGroup.compute, MvmKernel.apply
 
-    def counted(self, *args):
-        calls.append(self)
-        return orig(self, *args)
+    def group_compute(self, sim, value):
+        current.append(self)
+        try:
+            compute(self, sim, value)
+        finally:
+            current.pop()
 
-    monkeypatch.setattr(_MvGroup, "_apply_batched", counted)
+    def kernel_apply(self, weights, x):
+        if current and x[0].shape[0] > 1:
+            calls.append(current[-1])
+        return apply(self, weights, x)
+
+    monkeypatch.setattr(_MvGroup, "compute", group_compute)
+    monkeypatch.setattr(MvmKernel, "apply", kernel_apply)
     return calls
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -166,13 +167,14 @@ def test_injected_compiled_path_bug_is_caught_and_shrunk(monkeypatch):
     """A bug confined to the compiled replay path — the interpreter and
     both sequential simulator paths are untouched — is detected by the
     four-way differential and shrunk to a small reproducer."""
-    import repro.functional.replay as replay
-    orig = replay.to_float16
+    from repro.functional.replay import _MvGroup
+    orig = _MvGroup.compute
 
-    def buggy(x):
-        return orig(x) + np.float32(0.125)
+    def buggy(self, sim, value):
+        orig(self, sim, value)
+        self.outputs = tuple(out + np.float32(0.125) for out in self.outputs)
 
-    monkeypatch.setattr(replay, "to_float16", buggy)
+    monkeypatch.setattr(_MvGroup, "compute", buggy)
     report = run_fuzz(seed=0, iterations=25, check_timing=False)
     assert not report.ok, "compiled-path bug went undetected"
     failure = report.failures[0]
@@ -180,6 +182,31 @@ def test_injected_compiled_path_bug_is_caught_and_shrunk(monkeypatch):
                for m in failure.mismatches), failure.mismatches
     assert failure.case.instruction_count() <= 4, \
         format_program(failure.case.program)
+
+
+@pytest.mark.tier1
+def test_divergence_report_names_the_differing_element():
+    """Equal infs and matching NaNs are not divergences: the report
+    points at the element that differs, without arithmetic warnings."""
+    from repro.verify.differential import _compare_arrays
+    inf, nan = np.inf, np.nan
+    cases = [([inf, 1.0], [inf, 2.0], "(1,)"),
+             ([nan, -inf, 1.0], [nan, -inf, 3.0], "(2,)"),
+             ([inf, 5.0, 1.0], [inf, 5.0, nan], "(2,)"),
+             ([[1.0, -inf], [0.0, 4.0]], [[1.0, -inf], [0.0, 8.0]],
+              "(1, 1)")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b, where in cases:
+            out = []
+            _compare_arrays("x", np.array(a, np.float32),
+                            np.array(b, np.float32), out)
+            assert len(out) == 1 and f"divergence at {where}:" in out[0], \
+                out
+        out = []
+        _compare_arrays("x", np.array([inf, nan]), np.array([inf, nan]),
+                        out)
+        assert out == []
 
 
 @pytest.mark.tier1
